@@ -83,6 +83,12 @@ func PrintTable4(w io.Writer, root string) error {
 	if err != nil {
 		return err
 	}
+	// The world-switch steps the lowvisor shares with the VHE switch also
+	// run in Hyp mode under split mode; report the share both ways.
+	steps, err := loc.CountFile(root + "/internal/core/worldswitch.go")
+	if err != nil {
+		return err
+	}
 	neutral, err := loc.ArchNeutral(root)
 	if err != nil {
 		return err
@@ -98,8 +104,9 @@ func PrintTable4(w io.Writer, root string) error {
 	}
 	fmt.Fprintf(w, "%-40s %14d %14d\n", "Hypervisor total (core vs kvmx86+x86)", armTotal.Code, x86Total.Code)
 	fmt.Fprintf(w, "%-40s %14d\n", "of which lowvisor (Hyp-mode component)", lowvisor.Code)
+	fmt.Fprintf(w, "%-40s %14d\n", "  + shared world-switch steps", steps.Code)
 	fmt.Fprintf(w, "%-40s %14d\n", "arch-neutral hv layer (shared, uncharged)", neutral.Code)
-	fmt.Fprintf(w, "lowvisor share: %.1f%% of the ARM hypervisor (paper: 718/5812 = 12.4%%)\n",
-		100*float64(lowvisor.Code)/float64(armTotal.Code))
+	fmt.Fprintf(w, "lowvisor share: %.1f%% of the ARM hypervisor, %.1f%% with the shared steps (paper: 718/5812 = 12.4%%)\n",
+		100*float64(lowvisor.Code)/float64(armTotal.Code), 100*float64(lowvisor.Code+steps.Code)/float64(armTotal.Code))
 	return nil
 }

@@ -25,13 +25,13 @@ import (
 
 // GuestContext is the per-vCPU state moved by the world switch — exactly
 // the "Context Switch" half of Table 1, plus the software execution context
-// (which PL1 software the VM runs).
+// (which PL1 software the VM runs). The guest-visible state is the same
+// whichever world switch moves it; split mode and VHE differ only in how
+// much HOST state moves with it.
 type GuestContext struct {
-	// GP is the 38-register general-purpose set.
-	GP arm.GPSnapshot
-	// CP15 holds the 26 context-switched control registers, indexed in
-	// arm.CtxControlRegs order.
-	CP15 [arm.NumCtxControlRegs]uint32
+	// GuestRegs holds the 38-register general-purpose set, the 26
+	// context-switched control registers, and the guest software.
+	hv.GuestRegs
 	// Shadow ID registers presented to the VM (world-switch step 7).
 	VPIDR  uint32
 	VMPIDR uint32
@@ -44,14 +44,6 @@ type GuestContext struct {
 	// switched lazily: Dirty marks that the guest touched FP since entry.
 	VFP   arm.VFP
 	Dirty bool
-
-	// PL1Software is the guest's kernel-mode software: installed as the
-	// CPU's PL1 handler while the VM runs. Swapping it is what "switching
-	// the world" means for the parts of the VM that run in kernel mode.
-	PL1Software arm.ExcHandler
-	// Runner is the guest's execution content (a guest kernel scheduler
-	// or a bare SARM32 interpreter).
-	Runner arm.Runner
 }
 
 // Reg reads GP register n from a saved context, honouring the banked view
@@ -62,9 +54,11 @@ func (g *GuestContext) Reg(n int) uint32 { return hv.BankedReg(&g.GP, n) }
 // SetReg writes GP register n in a saved context (MMIO load emulation).
 func (g *GuestContext) SetReg(n int, v uint32) { hv.SetBankedReg(&g.GP, n, v) }
 
-// hostContext is the host-side state the lowvisor parks on its "Hyp stack"
-// during guest execution (world-switch steps 1 and 4).
-type hostContext struct {
+// HostContext is the host-side state a world switch parks while a guest
+// runs (split mode: on the "Hyp stack", world-switch steps 1 and 4). The
+// snapshot is always complete — the simulated CPU has one register file —
+// but each world switch charges only what its architecture must move.
+type HostContext struct {
 	GP          arm.GPSnapshot
 	CP15        [arm.NumCtxControlRegs]uint32
 	CPSR        uint32

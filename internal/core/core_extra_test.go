@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kvmarm/internal/arm"
+	"kvmarm/internal/hv"
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
@@ -15,7 +16,7 @@ func TestOneRegRoundTrip(t *testing.T) {
 	vI, _ := vmI.CreateVCPU(0)
 	v := vI.(*VCPU)
 
-	ids := v.RegList()
+	ids := hv.RegList()
 	if len(ids) < 38 {
 		t.Fatalf("register list has %d entries, want at least the Table 1 GP set", len(ids))
 	}
@@ -62,7 +63,7 @@ func TestSaveRestoreMovesGuestBetweenVMs(t *testing.T) {
 	if !b.Run(5_000_000, v.Paused) {
 		t.Fatal("did not pause")
 	}
-	regs, err := v.SaveAllRegs()
+	regs, err := hv.SaveAllRegs(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSaveRestoreMovesGuestBetweenVMs(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2.SetGuestSoftware(nil, &isa.Interp{})
-	if err := v2.RestoreAllRegs(regs); err != nil {
+	if err := hv.RestoreAllRegs(v2, regs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v2.StartThread(1); err != nil {
@@ -144,7 +145,7 @@ func TestSMPGuestRunsProcsOnBothVCPUs(t *testing.T) {
 	v0 := v0I.(*VCPU)
 	v1I, _ := vm.CreateVCPU(1)
 	v1 := v1I.(*VCPU)
-	g, err := NewGuestOS(vm, 96<<20)
+	g, err := vm.NewGuestOS(96 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestNoVGICGuestEndToEnd(t *testing.T) {
 	vmI, _ := k.CreateVM(96 << 20)
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, err := NewGuestOS(vm, 96<<20)
+	g, err := vm.NewGuestOS(96 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestNoVGICGuestEndToEnd(t *testing.T) {
 	if vm.Stats.MMIOUserExits == 0 {
 		t.Error("no-VGIC guest must take user-space interrupt-controller exits")
 	}
-	if g.K.Stats.TimerIRQs == 0 {
+	if g.Kernel().Stats.TimerIRQs == 0 {
 		t.Error("guest must still receive its (emulated) timer interrupt")
 	}
 }
@@ -233,9 +234,9 @@ func TestLazyVGICSkipsIdleSwitches(t *testing.T) {
 	if !b.Run(20_000_000, func() bool { return host.LiveCount() == 0 }) {
 		t.Fatal("guest did not finish")
 	}
-	lv := k.Lowvisor()
-	if lv.Stats.VGICSaveSkipped == 0 || lv.Stats.VGICRestoreSkipped == 0 {
-		t.Fatalf("lazy VGIC never skipped: %+v", lv.Stats)
+	ws := k.SwitchStats()
+	if ws.VGICSaveSkipped == 0 || ws.VGICRestoreSkipped == 0 {
+		t.Fatalf("lazy VGIC never skipped: %+v", *ws)
 	}
 }
 
@@ -266,7 +267,7 @@ func TestGuestConsoleThroughQEMU(t *testing.T) {
 	vmI, _ := k.CreateVM(96 << 20)
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, _ := NewGuestOS(vm, 96<<20)
+	g, _ := vm.NewGuestOS(96 << 20)
 	_, _ = v0.StartThread(0)
 	if !b.Run(60_000_000, g.Booted) {
 		t.Fatalf("no boot: %v", g.Err())

@@ -3,11 +3,7 @@ package core
 import (
 	"kvmarm/internal/arm"
 	"kvmarm/internal/gic"
-	"kvmarm/internal/hv"
-	"kvmarm/internal/isa"
-	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
@@ -21,13 +17,11 @@ type Highvisor struct {
 	kvm *KVM
 }
 
-func newHighvisor(k *KVM) *Highvisor { return &Highvisor{kvm: k} }
-
 // handleExit runs immediately after a world switch out, in host kernel
 // context. Exits it can finish in the kernel re-enter the guest before
-// returning (paying the double trap both ways); exits that need the vCPU
-// thread (WFI blocking, physical interrupts, shutdown) just set the vCPU
-// state and unwind.
+// returning (in split mode paying the double trap both ways); exits that
+// need the vCPU thread (WFI blocking, physical interrupts, shutdown) just
+// set the vCPU state and unwind.
 func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint32, insnOK bool) {
 	v.Stats.Exits++
 	// Exit-class tracing: classify the trap into one of the trace.Exit*
@@ -52,32 +46,23 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 		// thread then re-enters.
 		exitKind = trace.ExitIRQ
 		v.vm.Stats.IRQExits++
-		v.state = vcpuNeedEnter
-		if v.pauseReq {
-			v.state = vcpuPaused
-		}
+		v.Unwind(false)
 		h.vtimerOnExit(c, v)
 		return
 	case arm.ExcHVC:
 		exitKind = trace.ExitHypercall
-		h.handleHypercall(c, v, e)
+		v.Hypercall(c, e.Imm)
 		return
 	case arm.ExcHypTrap:
 		switch arm.HSREC(e.HSR) {
 		case arm.ECHVC:
 			exitKind = trace.ExitHypercall
-			h.handleHypercall(c, v, e)
+			v.Hypercall(c, e.Imm)
 		case arm.ECWFx:
 			exitKind = trace.ExitWFI
 			v.vm.Stats.WFIExits++
 			v.Ctx.GP.PC += 4 // skip the WFI/WFE
-			v.state = vcpuBlockedWFI
-			// A pause posted while the vCPU was loaded must win over the
-			// WFI block, or user space waits on a vCPU that is already
-			// parked under the wrong state.
-			if v.pauseReq {
-				v.state = vcpuPaused
-			}
+			v.Unwind(true)
 			h.vtimerOnExit(c, v)
 		case arm.ECDataAbort, arm.ECInstrAbort:
 			exitKind, exitArg = h.handleAbort(c, v, e, insn, insnOK)
@@ -86,153 +71,25 @@ func (h *Highvisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint3
 			v.vm.Stats.SysRegTraps++
 			h.emulateSysReg(c, v, e)
 			v.Ctx.GP.PC += 4
-			h.reenter(c, v)
+			v.Reenter(c)
 		case arm.ECSMC:
 			// VMs may not reach secure firmware; emulate as a NOP.
 			exitKind = trace.ExitSMC
 			v.Ctx.GP.PC += 4
-			h.reenter(c, v)
+			v.Reenter(c)
 		default:
-			v.state = vcpuNeedEnter
+			v.Unwind(false)
 		}
 	default:
-		v.state = vcpuNeedEnter
+		v.Unwind(false)
 	}
-}
-
-// reenter performs the second half of an in-kernel handled exit: HVC back
-// into the lowvisor and world switch in — unless user space asked for a
-// pause, in which case the vCPU parks with its state saved.
-func (h *Highvisor) reenter(c *arm.CPU, v *VCPU) {
-	if v.pauseReq {
-		v.state = vcpuPaused
-		return
-	}
-	h.kvm.low.CallEnterGuest(c, v)
-}
-
-// handleHypercall services guest HVC calls: PSCI power management, or the
-// null hypercall used by the Table 3 micro-benchmark ("two world switches
-// ... without doing any work in the host").
-func (h *Highvisor) handleHypercall(c *arm.CPU, v *VCPU, e *arm.Exception) {
-	v.vm.Stats.Hypercalls++
-	switch e.Imm {
-	case PSCISystemOff:
-		for _, o := range v.vm.vcpus {
-			if o != v {
-				o.Wake(c.ID) // unblock before marking shutdown
-			}
-			o.state = vcpuShutdown
-		}
-		return
-	default:
-		// Null hypercall: immediately back in.
-		h.reenter(c, v)
-	}
-}
-
-// handleAbort distinguishes Stage-2 RAM faults (resolved with the host
-// kernel's allocator, §3.3) from MMIO aborts (emulated, §3.4). It returns
-// the trace classification of the abort — ExitStage2Fault with the
-// faulting IPA, or ExitMMIOUser/ExitMMIOKernel depending on whether the
-// emulation needed a round trip to user space (Table 3 "I/O User" vs
-// "I/O Kernel").
-func (h *Highvisor) handleAbort(c *arm.CPU, v *VCPU, e *arm.Exception, insn uint32, insnOK bool) (trace.Kind, uint64) {
-	vm := v.vm
-	ipa := e.FaultIPA
-	if vm.Mem.InSlot(ipa) {
-		vm.Stats.Stage2Faults++
-		// A write fault on a copy-on-write shared page (snapshot/fork):
-		// break the sharing — private copy, or in-place reclaim for the
-		// last sharer — and retry. Checked before the dirty log because a
-		// shared page is read-only and so was never in the log's protected
-		// set; left to the paths below it would be remapped to a blank
-		// frame.
-		if vm.S2.CowSharing() {
-			if handled, err := vm.S2.CowFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if handled {
-				vm.flushS2Page(ipa)
-				// Break = fault handling plus copying the page.
-				c.Charge(h.kvm.Host.Cost.FaultWork/2 + h.kvm.Host.Cost.PageZero)
-				h.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
-		}
-		// A write fault on a page the dirty log protected: restore write
-		// access, record the page, drop stale TLB entries, retry. This
-		// must come before the allocation path or a logged page would be
-		// remapped to a fresh (blank) frame.
-		if vm.S2.DirtyLogging() {
-			if dirty, err := vm.S2.DirtyFault(ipa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, ipa
-			} else if dirty {
-				vm.flushS2Page(ipa)
-				c.Charge(h.kvm.Host.Cost.FaultWork / 2)
-				h.reenter(c, v)
-				return trace.ExitStage2Fault, ipa
-			}
-		}
-		// get_user_pages + map into the Stage-2 tables; the faulting
-		// access retries after re-entry.
-		pa, err := h.kvm.Host.Alloc.AllocPages(1)
-		if err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		if err := vm.S2.MapPage(uint32(ipa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, ipa
-		}
-		// get_user_pages + rmap + memslot bookkeeping, then the page
-		// itself.
-		c.Charge(h.kvm.Host.Cost.FaultWork + h.kvm.Host.Cost.PageZero)
-		h.reenter(c, v)
-		return trace.ExitStage2Fault, ipa
-	}
-
-	// MMIO: describe the access from the syndrome, or decode the
-	// instruction loaded by the lowvisor (§4: the software decoder).
-	isv, sizeLog2, rt, write := arm.DecodeDataAbortISS(arm.HSRISS(e.HSR))
-	size := 1 << sizeLog2
-	if !isv {
-		if !insnOK {
-			// Cannot describe the access: treat as a guest bug.
-			v.state = vcpuShutdown
-			return trace.ExitOther, ipa
-		}
-		in := isa.Decode(insn)
-		isMem, isStore, _, sz := in.IsMemAccess()
-		if !isMem {
-			v.state = vcpuShutdown
-			return trace.ExitOther, ipa
-		}
-		vm.Stats.MMIODecoded++
-		write, size, rt = isStore, sz, in.Rd
-		c.Charge(200) // decode work
-	}
-	userBefore := vm.Stats.MMIOUserExits
-	h.emulateMMIO(c, v, ipa, write, size, rt)
-	if v.state == vcpuShutdown {
-		// The access raised a bus error (injected device fault): the vCPU
-		// is dead, do not advance PC or re-enter the guest.
-		return trace.ExitOther, ipa
-	}
-	kind := trace.ExitMMIOKernel
-	if vm.Stats.MMIOUserExits != userBefore {
-		kind = trace.ExitMMIOUser
-	}
-	v.Ctx.GP.PC += 4
-	h.reenter(c, v)
-	return kind, ipa
 }
 
 // emulateMMIO routes an MMIO access: the virtual distributor and other
 // in-kernel devices are emulated directly; everything else goes to user
-// space (QEMU), paying the kernel→user→kernel transition.
-func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) {
+// space (QEMU), paying the kernel→user→kernel transition. It reports
+// false when the access raised a bus error and the vCPU died.
+func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, size, rt int) bool {
 	vm := v.vm
 	vm.Stats.MMIOExits++
 
@@ -253,7 +110,7 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 			vm.Stats.MMIOUserExits++
 			c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles)
 		}
-		return
+		return true
 	}
 
 	// GIC CPU interface: only reachable without VGIC hardware; ACK/EOI
@@ -274,37 +131,16 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 		if !h.kvm.Board.Cfg.HasVGIC {
 			c.VIRQLine = false // recomputed at re-entry
 		}
-		return
+		return true
 	}
 
-	if r, off := vm.mmio.Find(ipa); r != nil {
-		if r.User {
-			vm.Stats.MMIOUserExits++
-			c.Charge(h.kvm.UserTransitionCycles + h.kvm.QEMUWorkCycles)
-		} else {
-			c.Charge(620) // in-kernel device emulation work
+	k := h.kvm
+	if val, found, ok := v.RegionMMIO(c, ipa, write, size, v.Ctx.Reg(rt),
+		k.UserTransitionCycles+k.QEMUWorkCycles, 620); found {
+		if ok && !write {
+			v.Ctx.SetReg(rt, val)
 		}
-		var err error
-		if write {
-			err = hv.MMIOWrite(r.H, v, off, size, uint64(v.Ctx.Reg(rt)))
-		} else {
-			var val uint64
-			if val, err = hv.MMIORead(r.H, v, off, size); err == nil {
-				v.Ctx.SetReg(rt, uint32(val))
-			}
-		}
-		if err != nil {
-			// Injected device error: deliver a bus error. The guests here
-			// have no abort recovery, so the vCPU dies on the spot — the
-			// fleet supervisor's re-fork is the recovery story.
-			vm.Stats.BusErrors++
-			if t := h.kvm.Trace; t != nil {
-				t.Emit(trace.Event{Kind: trace.EvGuestBusError, VM: vm.VMID,
-					VCPU: int16(v.ID), CPU: int16(c.ID), PC: v.Ctx.GP.PC, Arg: ipa})
-			}
-			v.state = vcpuShutdown
-		}
-		return
+		return ok
 	}
 
 	// Unbacked address: reads as zero, writes ignored (matches KVM's
@@ -312,6 +148,7 @@ func (h *Highvisor) emulateMMIO(c *arm.CPU, v *VCPU, ipa uint64, write bool, siz
 	if !write {
 		v.Ctx.SetReg(rt, 0)
 	}
+	return true
 }
 
 // emulateSysReg services trapped MRC/MCR accesses (the Trap-and-Emulate
@@ -365,114 +202,4 @@ func (h *Highvisor) emulateSysReg(c *arm.CPU, v *VCPU, e *arm.Exception) {
 		}
 		c.Charge(120)
 	}
-}
-
-// emulateTimerReg maintains the software model of the guest timer when
-// there is no virtual timer hardware, arming a host soft timer for the
-// programmed deadline.
-func (h *Highvisor) emulateTimerReg(c *arm.CPU, v *VCPU, reg arm.SysReg, rt int, read bool) {
-	vt := &v.Ctx.VTimer
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	switch reg {
-	case arm.SysCNTVCTL, arm.SysCNTPCTL:
-		if read {
-			val := vt.CTL &^ timer.CTLIStatus
-			if vt.CTL&timer.CTLEnable != 0 && vnow >= vt.CVAL {
-				val |= timer.CTLIStatus
-			}
-			v.Ctx.SetReg(rt, val)
-			return
-		}
-		vt.CTL = v.Ctx.Reg(rt) &^ timer.CTLIStatus
-	case arm.SysCNTVTVAL, arm.SysCNTPTVAL:
-		if read {
-			v.Ctx.SetReg(rt, uint32(vt.CVAL-vnow))
-			return
-		}
-		vt.CVAL = vnow + uint64(int64(int32(v.Ctx.Reg(rt))))
-	}
-	// (Re)arm the host soft timer for the emulated deadline.
-	h.cancelSoftTimer(c, v)
-	if vt.CTL&timer.CTLEnable != 0 && vt.CTL&timer.CTLIMask == 0 {
-		h.armSoftTimer(c, v)
-	}
-}
-
-// --- Virtual timer multiplexing (§3.6) ---
-
-// vtimerOnEntry cancels any host soft timer standing in for the vCPU's
-// virtual timer and loads the real virtual timer hardware. A timer whose
-// expiry was already forwarded as a virtual interrupt is restored masked,
-// so its (level) hardware interrupt does not immediately force another
-// exit; the guest's handler reprograms it.
-func (h *Highvisor) vtimerOnEntry(c *arm.CPU, v *VCPU) {
-	if !h.kvm.Board.Cfg.HasVirtTimer {
-		// Fully emulated timer: the host soft timer must KEEP running
-		// while the guest executes — it is the only thing that can
-		// interrupt the vCPU at the emulated deadline.
-		return
-	}
-	h.cancelSoftTimer(c, v)
-	st := v.Ctx.VTimer
-	if st.CTL&timer.CTLEnable != 0 && st.CTL&timer.CTLIMask == 0 {
-		if timer.Count(c.Clock)-st.CNTVOFF >= st.CVAL {
-			st.CTL |= timer.CTLIMask
-			v.Ctx.VTimer = st
-		}
-	}
-	h.kvm.Board.Timers.RestoreVirt(c.ID, st, c.Clock)
-}
-
-// vtimerOnExit checks a descheduled vCPU's virtual timer: if it already
-// fired, inject the virtual interrupt now (ACK/EOI of the physical side
-// were done by the host IRQ path); if it is armed for the future, program
-// a host software timer for the residual (§3.6).
-func (h *Highvisor) vtimerOnExit(c *arm.CPU, v *VCPU) {
-	vt := v.Ctx.VTimer
-	if vt.CTL&timer.CTLEnable == 0 || vt.CTL&timer.CTLIMask != 0 {
-		return
-	}
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	if vnow >= vt.CVAL {
-		// Mask the (already forwarded) expiry so it is not re-injected
-		// on every subsequent exit.
-		v.Ctx.VTimer.CTL |= timer.CTLIMask
-		h.injectVTimer(c.ID, v)
-		return
-	}
-	if v.softTimerID != 0 {
-		return // already armed (emulated-timer configurations)
-	}
-	h.armSoftTimer(c, v)
-}
-
-func (h *Highvisor) armSoftTimer(c *arm.CPU, v *VCPU) {
-	vt := v.Ctx.VTimer
-	vnow := timer.Count(c.Clock) - vt.CNTVOFF
-	delay := vt.CVAL - vnow
-	hostCPU := c.ID
-	v.softTimerCPU = hostCPU
-	v.softTimerID = h.kvm.Host.AddTimer(hostCPU, c, delay+1, func(_ *kernel.Kernel, cpu int) {
-		v.softTimerID = 0
-		h.injectVTimer(cpu, v)
-	})
-}
-
-func (h *Highvisor) cancelSoftTimer(c *arm.CPU, v *VCPU) {
-	if v.softTimerID != 0 {
-		h.kvm.Host.CancelTimer(v.softTimerCPU, c, v.softTimerID)
-		v.softTimerID = 0
-	}
-}
-
-// injectVTimer delivers the virtual timer interrupt to the vCPU through
-// the virtual distributor, waking it if blocked.
-func (h *Highvisor) injectVTimer(fromHostCPU int, v *VCPU) {
-	v.vm.Stats.VTimerInjected++
-	if t := h.kvm.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvVTimerInject, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(fromHostCPU), Arg: gic.IRQVirtTimer})
-	}
-	v.vm.VDist.InjectPPI(v, gic.IRQVirtTimer)
-	v.Wake(fromHostCPU)
 }

@@ -120,9 +120,9 @@ func TestGuestHypercallAndShutdown(t *testing.T) {
 	if vm.Stats.Hypercalls < 2 {
 		t.Fatalf("hypercalls = %d", vm.Stats.Hypercalls)
 	}
-	lv := k.Lowvisor()
-	if lv.Stats.WorldSwitchIn < 2 || lv.Stats.WorldSwitchOut < 2 {
-		t.Fatalf("world switches: in=%d out=%d", lv.Stats.WorldSwitchIn, lv.Stats.WorldSwitchOut)
+	ws := k.SwitchStats()
+	if ws.WorldSwitchIn < 2 || ws.WorldSwitchOut < 2 {
+		t.Fatalf("world switches: in=%d out=%d", ws.WorldSwitchIn, ws.WorldSwitchOut)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestGuestOSBootsAndRunsProcesses(t *testing.T) {
 	}
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, err := NewGuestOS(vm, 96<<20)
+	g, err := vm.NewGuestOS(96 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestGuestOSBootsAndRunsProcesses(t *testing.T) {
 	if !b.Run(20_000_000, func() bool { return g.Booted() }) {
 		t.Fatalf("guest kernel did not boot: err=%v", g.Err())
 	}
-	gk := g.K
+	gk := g.Kernel()
 	if gk.BootedInHyp {
 		t.Fatal("guest must not see Hyp mode")
 	}
@@ -265,7 +265,7 @@ func TestGuestNanosleepUsesVTimerAndWFI(t *testing.T) {
 	vmI, _ := k.CreateVM(96 << 20)
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, err := NewGuestOS(vm, 96<<20)
+	g, err := vm.NewGuestOS(96 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestGuestNanosleepUsesVTimerAndWFI(t *testing.T) {
 	if vm.Stats.VTimerInjected == 0 {
 		t.Fatal("the virtual timer must be injected by the highvisor (§3.6)")
 	}
-	if g.K.Stats.TimerIRQs == 0 {
+	if g.Kernel().Stats.TimerIRQs == 0 {
 		t.Fatal("guest must receive its timer interrupt")
 	}
 }
@@ -339,14 +339,14 @@ func TestWorldSwitchCostShape(t *testing.T) {
 		_, v := isaGuest(t, k, prog, 0)
 		_ = v
 		c := b.CPUs[0]
-		lv := k.Lowvisor()
+		ws := k.SwitchStats()
 		var before uint64
 		var cost uint64
 		for i := 0; i < 10_000_000; i++ {
-			if lv.Stats.WorldSwitchIn == 1 && before == 0 {
+			if ws.WorldSwitchIn == 1 && before == 0 {
 				before = c.Clock
 			}
-			if lv.Stats.WorldSwitchIn == 2 && cost == 0 {
+			if ws.WorldSwitchIn == 2 && cost == 0 {
 				cost = c.Clock - before
 				break
 			}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"kvmarm/internal/arm"
-	"kvmarm/internal/gic"
 	"kvmarm/internal/mmu"
-	"kvmarm/internal/trace"
 )
 
 // HVC immediates for host→lowvisor calls (the "kvm_call_hyp" interface).
@@ -16,20 +14,9 @@ const (
 	HVCFlushVMID      uint16 = 0xE02
 )
 
-// LowvisorStats instruments the Hyp-mode component.
-type LowvisorStats struct {
-	WorldSwitchIn      uint64
-	WorldSwitchOut     uint64
-	GuestTraps         uint64
-	HostCalls          uint64
-	VFPLazySwitches    uint64
-	VGICSaveSkipped    uint64
-	VGICRestoreSkipped uint64
-}
-
 // Lowvisor is the Hyp-mode component: the only code that touches Hyp
 // configuration state, kept to an absolute minimum (§3.1; 718 LOC in the
-// original, Table 4).
+// original, Table 4). It is the split-mode WorldSwitch.
 type Lowvisor struct {
 	kvm *KVM
 
@@ -38,24 +25,15 @@ type Lowvisor struct {
 	// virtual addresses as in the kernel (§3.1).
 	hypPT *mmu.Builder
 
-	// loaded tracks which vCPU each physical CPU is running.
-	loaded []*VCPU
-	// host holds the parked host context per physical CPU.
-	host []hostContext
 	// pendingEnter passes the vCPU argument of an HVCEnterGuest call.
 	pendingEnter []*VCPU
-
-	Stats LowvisorStats
 }
 
-func newLowvisor(k *KVM) *Lowvisor {
-	n := len(k.Board.CPUs)
-	return &Lowvisor{
-		kvm:          k,
-		loaded:       make([]*VCPU, n),
-		host:         make([]hostContext, n),
-		pendingEnter: make([]*VCPU, n),
-	}
+// Install implements WorldSwitch: it brings the lowvisor up in Hyp mode.
+func (lv *Lowvisor) Install(k *KVM) error {
+	lv.kvm = k
+	lv.pendingEnter = make([]*VCPU, len(k.Board.CPUs))
+	return lv.initHyp()
 }
 
 // initHyp builds the Hyp page tables and installs the lowvisor's vectors
@@ -110,9 +88,9 @@ func (lv *Lowvisor) initHyp() error {
 // region).
 const hypVectorBase = 0x2000_0000
 
-// CallEnterGuest is the host-kernel side of entering a VM: stash the
-// argument and HVC into Hyp mode (first half of the double trap).
-func (lv *Lowvisor) CallEnterGuest(c *arm.CPU, v *VCPU) {
+// EnterGuest is the host-kernel side of entering a VM: stash the argument
+// and HVC into Hyp mode (first half of the double trap).
+func (lv *Lowvisor) EnterGuest(c *arm.CPU, v *VCPU) {
 	lv.pendingEnter[c.ID] = v
 	c.TakeException(&arm.Exception{Kind: arm.ExcHVC, Imm: HVCEnterGuest,
 		HSR: arm.MakeHSR(arm.ECHVC, uint32(HVCEnterGuest))})
@@ -122,49 +100,14 @@ func (lv *Lowvisor) CallEnterGuest(c *arm.CPU, v *VCPU) {
 // that arrives in Hyp mode — host hypercalls, guest traps, and physical
 // interrupts taken while a VM runs.
 func (lv *Lowvisor) dispatch(c *arm.CPU, e *arm.Exception) {
-	v := lv.loaded[c.ID]
+	v := lv.kvm.loaded[c.ID]
 	if v == nil {
 		// A call from the host kernel.
-		lv.Stats.HostCalls++
+		lv.kvm.stats.HostCalls++
 		lv.hostCall(c, e)
 		return
 	}
-	lv.Stats.GuestTraps++
-
-	// Lazy VFP switch: handled entirely in the lowvisor, no world switch
-	// (world-switch step 6 configured HCPTR to trap FP).
-	if e.Kind == arm.ExcHypTrap && arm.HSREC(e.HSR) == arm.ECVFP {
-		start := c.Clock
-		lv.Stats.VFPLazySwitches++
-		lv.host[c.ID].VFP = c.VFP.Snapshot()
-		c.VFP.Restore(v.Ctx.VFP)
-		c.VFP.Enabled = true
-		v.Ctx.Dirty = true
-		c.CP15.Regs[arm.SysHCPTR] = 0
-		c.Charge(uint64(arm.NumVFPDataRegs)*2*c.Cost.VFPRegMove + arm.NumVFPCtrlRegs*2*c.Cost.SysRegMove)
-		if t := lv.kvm.Trace; t != nil {
-			t.Emit(trace.Event{Kind: trace.ExitVFP, VM: v.vm.VMID, VCPU: int16(v.ID),
-				CPU: int16(c.ID), HSR: e.HSR, Cycles: c.Clock - start, Time: c.Clock})
-		}
-		c.ERET()
-		return
-	}
-
-	// For MMIO aborts whose syndrome lacks the access description, load
-	// the faulting instruction from guest memory NOW, while the guest's
-	// Stage-1 state is still live (the software-decode path of §4).
-	var insn uint32
-	var insnValid bool
-	if e.Kind == arm.ExcHypTrap && arm.HSREC(e.HSR) == arm.ECDataAbort {
-		if isv, _, _, _ := arm.DecodeDataAbortISS(arm.HSRISS(e.HSR)); !isv {
-			if w, err := c.ReadVM(c.Regs.ELRHyp(), 4); err == nil {
-				insn, insnValid = uint32(w), true
-			}
-		}
-	}
-
-	lv.worldSwitchOut(c, v)
-	lv.kvm.high.handleExit(c, v, e, insn, insnValid)
+	lv.kvm.GuestTrap(c, v, e)
 }
 
 // hostCall handles HVCs from the host kernel.
@@ -186,9 +129,9 @@ func (lv *Lowvisor) hostCall(c *arm.CPU, e *arm.Exception) {
 // in Hyp mode (arrived by HVC from the host kernel).
 func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	k := lv.kvm
-	hc := &lv.host[c.ID]
-	lv.Stats.WorldSwitchIn++
-	wsStart := c.Clock
+	hc := &k.host[c.ID]
+	k.stats.WorldSwitchIn++
+	start := c.Clock
 
 	// (1) Store all host GP registers on the Hyp stack.
 	hc.GP = c.SaveGP()
@@ -197,29 +140,8 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	hc.Runner = c.Runner
 	c.Charge(uint64(arm.GPCount()) * c.Cost.RegSave)
 
-	// (2) Configure the VGIC for the VM: restore the saved interface
-	// state and flush software-pending interrupts into list registers.
-	if k.Board.Cfg.HasVGIC {
-		if !k.LazyVGIC || vgicStateLive(&v.Ctx.VGIC) || v.vm.VDist.HasPendingFor(v) {
-			cost := k.Board.GIC.RestoreVGIC(c.ID, v.Ctx.VGIC)
-			c.Charge(cost)
-			k.Board.GIC.SetVGICEnabled(c.ID, true)
-			c.Charge(gic.CPUIfaceAccessCycles)
-			// Stage software-pending virtual interrupts into the list
-			// registers ("uses this state whenever a VM is scheduled,
-			// to program the list registers", §3.5).
-			v.vm.VDist.FlushTo(v, c.ID)
-		} else {
-			lv.Stats.VGICRestoreSkipped++
-		}
-	}
-
-	// (3) Configure the timers for the VM: restore the virtual timer and
-	// offset; the physical timer stays with the hypervisor (CNTHCTL=0
-	// denies PL1 access to it).
-	k.high.vtimerOnEntry(c, v)
-	c.CP15.Regs[arm.SysCNTHCTL] = 0
-	c.Charge(3 * c.Cost.SysRegMove)
+	// (2) Configure the VGIC and (3) the timers for the VM.
+	k.LoadGuestDevices(c, v)
 
 	// (4) Save all host-specific configuration registers onto the Hyp
 	// stack; (5) load the VM's configuration registers.
@@ -229,83 +151,21 @@ func (lv *Lowvisor) worldSwitchIn(c *arm.CPU, v *VCPU) {
 	}
 	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
 
-	// (6) Configure Hyp mode to trap FP (lazy), interrupts, WFI/WFE,
-	// SMC, sensitive configuration registers and debug registers.
-	c.CP15.Regs[arm.SysHCR] = arm.HCRGuest
-	if !v.Ctx.Dirty {
-		c.CP15.Regs[arm.SysHCPTR] = arm.HCPTRTCP10 | arm.HCPTRTCP11
-	}
-	c.CP15.Regs[arm.SysHSTR] = arm.HSTRTTEE
-	c.CP15.Regs[arm.SysHDCR] = arm.HDCRTDA
-	c.Charge(4 * c.Cost.SysRegMove)
-
-	// (7) Write VM-specific IDs into the shadow ID registers.
-	c.CP15.Regs[arm.SysVPIDR] = v.Ctx.VPIDR
-	c.CP15.Regs[arm.SysVMPIDR] = v.Ctx.VMPIDR
-	c.Charge(2 * c.Cost.SysRegMove)
-
-	// (8) Set the Stage-2 page table base register (VTTBR); enabling
-	// Stage-2 is part of the HCR value installed in step 6.
-	c.CP15.Write64(arm.SysVTTBRLo, v.vm.S2.Root|uint64(v.vm.VMID)<<48)
-	c.Charge(c.Cost.SysRegMove)
-
-	// (9) Restore all guest GP registers.
-	c.RestoreGP(v.Ctx.GP)
-	c.Charge(uint64(arm.GPCount()) * c.Cost.RegRestore)
-
-	// (10) Trap into either user or kernel mode of the VM.
-	c.PL1Handler = v.Ctx.PL1Software
-	c.Runner = v.Ctx.Runner
-	lv.loaded[c.ID] = v
-	v.phys = c.ID
-	v.insnMark = c.Insns
-	v.state = vcpuRunning
-	v.vm.noteGuestCPU(c)
-	c.SetCPSR(v.Ctx.GP.CPSR)
-	c.Charge(c.Cost.ERET)
-
-	// Software injection path for hardware without a VGIC: pending
-	// virtual interrupts assert the virtual IRQ line by hand.
-	if !k.Board.Cfg.HasVGIC {
-		c.VIRQLine = v.vm.VDist.HasPendingFor(v)
-	}
-
-	if t := k.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvWorldSwitchIn, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - wsStart, Time: c.Clock})
-	}
+	// (6)-(10) Trap configuration, IDs, Stage-2, guest registers, entry.
+	k.EnterVM(c, v, start)
 }
 
-func vgicStateLive(s *gic.VGICCpu) bool {
-	for i := range s.LR {
-		if s.LR[i].State != gic.LRInvalid {
-			return true
-		}
-	}
-	return false
-}
-
-// worldSwitchOut performs the nine steps of §3.2 returning to the host.
-// The CPU is in Hyp mode; the guest's PC/PSR are in ELR_hyp/SPSR_hyp.
-func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
+// ExitGuest implements WorldSwitch: the nine steps of §3.2 returning to
+// the host. The CPU is in Hyp mode; the guest's PC/PSR are in
+// ELR_hyp/SPSR_hyp.
+func (lv *Lowvisor) ExitGuest(c *arm.CPU, v *VCPU) {
 	k := lv.kvm
-	hc := &lv.host[c.ID]
-	lv.Stats.WorldSwitchOut++
-	wsStart := c.Clock
+	hc := &k.host[c.ID]
+	k.stats.WorldSwitchOut++
+	start := c.Clock
 
-	// (1) Store all VM GP registers.
-	gp := c.SaveGP()
-	gp.PC = c.Regs.ELRHyp()
-	gp.CPSR = c.Regs.SPSRof(arm.ModeHYP)
-	v.Ctx.GP = gp
-	c.Charge(uint64(arm.GPCount()) * c.Cost.RegSave)
-
-	// (2) Disable Stage-2 translation; (3) stop trapping accesses.
-	c.CP15.Regs[arm.SysHCR] = 0
-	c.CP15.Regs[arm.SysHCPTR] = 0
-	c.CP15.Regs[arm.SysHSTR] = 0
-	c.CP15.Regs[arm.SysHDCR] = 0
-	c.Charge(4 * c.Cost.SysRegMove)
+	// (1)-(3) Store the VM's GP registers, disable Stage-2 and traps.
+	k.LeaveVM(c, v)
 
 	// (4) Save all VM-specific configuration registers; (5) load the
 	// host's configuration registers.
@@ -315,60 +175,13 @@ func (lv *Lowvisor) worldSwitchOut(c *arm.CPU, v *VCPU) {
 	}
 	c.Charge(uint64(2*arm.NumCtxControlRegs) * c.Cost.SysRegMove)
 
-	// (6) Configure the timers for the host: park the virtual timer
-	// state; the highvisor decides whether to arm a software timer. On
-	// hardware without virtual timers the context copy IS the emulated
-	// timer and must not be overwritten from the (unused) hardware.
-	if k.Board.Cfg.HasVirtTimer {
-		v.Ctx.VTimer = k.Board.Timers.SaveVirt(c.ID)
-		k.Board.Timers.DisableVirt(c.ID, c.Clock)
-	}
-	c.CP15.Regs[arm.SysCNTHCTL] = 3 // host PL1 regains the physical timer
-	c.Charge(3 * c.Cost.SysRegMove)
-
-	// (7) Save VM-specific VGIC state (including reading back the list
-	// registers the guest may have ACKed/EOIed, §3.5).
-	if k.Board.Cfg.HasVGIC {
-		if !k.LazyVGIC || k.Board.GIC.PendingLRCount(c.ID) > 0 || vgicStateLive(&v.Ctx.VGIC) {
-			st, cost := k.Board.GIC.SaveVGIC(c.ID)
-			v.Ctx.VGIC = st
-			c.Charge(cost)
-			k.Board.GIC.SetVGICEnabled(c.ID, false)
-			c.Charge(gic.CPUIfaceAccessCycles)
-		} else {
-			lv.Stats.VGICSaveSkipped++
-			v.Ctx.VGIC = gic.VGICCpu{}
-		}
-		// Reconcile the virtual distributor with what the guest ACKed
-		// and EOIed while it ran (the read-back requirement of §3.5).
-		v.vm.VDist.SyncFrom(v, &v.Ctx.VGIC)
-	}
-
-	// Lazy VFP: if the guest took the FP trap this residency, its state
-	// is live in the hardware; park it and restore the host's.
-	if v.Ctx.Dirty {
-		v.Ctx.VFP = c.VFP.Snapshot()
-		c.VFP.Restore(hc.VFP)
-		v.Ctx.Dirty = false
-		c.Charge(uint64(arm.NumVFPDataRegs)*2*c.Cost.VFPRegMove + arm.NumVFPCtrlRegs*2*c.Cost.SysRegMove)
-	}
+	// (6)-(7) Park the VM's timer and VGIC state (and lazy VFP).
+	k.SaveGuestDevices(c, v)
 
 	// (8) Restore all host GP registers.
 	c.RestoreGP(hc.GP)
 	c.Charge(uint64(arm.GPCount()) * c.Cost.RegRestore)
 
 	// (9) Trap into kernel mode (the host's).
-	c.PL1Handler = hc.PL1Software
-	c.Runner = hc.Runner
-	lv.loaded[c.ID] = nil
-	v.phys = -1
-	v.Stats.GuestInsns += c.Insns - v.insnMark
-	c.VIRQLine = false
-	c.SetCPSR(hc.CPSR)
-	c.Charge(c.Cost.ERET)
-
-	if t := k.Trace; t != nil {
-		t.Emit(trace.Event{Kind: trace.EvWorldSwitchOut, VM: v.vm.VMID, VCPU: int16(v.ID),
-			CPU: int16(c.ID), PC: v.Ctx.GP.PC, Cycles: c.Clock - wsStart, Time: c.Clock})
-	}
+	k.ReturnToHost(c, v, start, c.Cost.ERET)
 }

@@ -8,64 +8,11 @@ import (
 	"kvmarm/internal/timer"
 )
 
-// Migration hooks: the split-mode backend's side of hv.Migrate. Memory is
-// handled by the shared hv.GuestMem dirty log; this file wires the TLB
-// maintenance that must accompany Stage-2 permission changes, and
-// inventories the device state that lives outside the ONE_REG namespace
-// (virtual distributor, virtual timers, console, in-flight virtio I/O).
-
-// flushS2Page evicts any TLB entry caching a translation through ipa on
-// every host CPU. Required after a single-page Stage-2 permission change
-// (dirty-log protect/unprotect), else a stale writable entry lets stores
-// bypass the write-protect trap.
-func (vm *VM) flushS2Page(ipa uint64) {
-	for _, c := range vm.kvm.Board.CPUs {
-		c.MMU.FlushS2Page(vm.VMID, ipa)
-	}
-}
-
-// flushTLBs drops every cached translation for this VM on every host CPU.
-func (vm *VM) flushTLBs() {
-	for _, c := range vm.kvm.Board.CPUs {
-		c.MMU.FlushVMID(vm.VMID)
-	}
-}
-
-// StartDirtyLog write-protects all mapped RAM pages and begins dirty
-// tracking. The broad flush makes the protection visible to running vCPUs.
-func (vm *VM) StartDirtyLog() (int, error) {
-	n, err := vm.Mem.StartDirtyLog()
-	if err != nil {
-		return 0, err
-	}
-	vm.flushTLBs()
-	return n, nil
-}
-
-// FetchDirtyLog drains and re-protects the dirty set; each re-protected
-// page needs its TLB entries shot down or the next store won't fault.
-func (vm *VM) FetchDirtyLog() ([]uint64, error) {
-	pages, err := vm.Mem.FetchDirtyLog()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pages {
-		vm.flushS2Page(p)
-	}
-	return pages, nil
-}
-
-// StopDirtyLog restores write access everywhere and ends tracking.
-func (vm *VM) StopDirtyLog() error {
-	if err := vm.Mem.StopDirtyLog(); err != nil {
-		return err
-	}
-	vm.flushTLBs()
-	return nil
-}
-
-// MappedPages lists every mapped RAM-slot page (IPA page addresses).
-func (vm *VM) MappedPages() ([]uint64, error) { return vm.Mem.MappedPages() }
+// Migration hooks: KVM/ARM's side of hv.Migrate. Memory and its dirty
+// log are the shared hv.VMBase's; this file inventories the device state
+// that lives outside the ONE_REG namespace (virtual distributor, virtual
+// timers, console, in-flight virtio I/O). Split mode and VHE share it,
+// which is what makes split-mode → VHE migration work at all.
 
 // SaveDeviceState snapshots everything guest-visible that the ONE_REG
 // vCPU snapshot does not cover. The VM must be paused.

@@ -4,7 +4,7 @@
 // are covered the moment they register. Each backend runs the same
 // matrix: single-vCPU boot, SMP guest-OS boot, MMIO round trips through
 // registered kernel and user regions, the ONE_REG save/restore interface,
-// and pause/resume semantics.
+// pause/resume semantics, and the shared VM/vCPU lifecycle.
 package hv_test
 
 import (
@@ -12,10 +12,13 @@ import (
 
 	_ "kvmarm" // registers the ARM and x86 backends
 	"kvmarm/internal/arm"
+	"kvmarm/internal/dev"
+	"kvmarm/internal/fault"
 	"kvmarm/internal/hv"
 	"kvmarm/internal/isa"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
+	"kvmarm/internal/trace"
 )
 
 // marker is a guest-physical address the program stores to; reading it
@@ -139,6 +142,13 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("mmio", func(t *testing.T) { testMMIORoundTrip(t, be) })
 			t.Run("onereg", func(t *testing.T) { testOneReg(t, be) })
 			t.Run("pause", func(t *testing.T) { testPauseResume(t, be) })
+			t.Run("pause-ready", func(t *testing.T) { testPauseReady(t, be) })
+			t.Run("pause-idle", func(t *testing.T) { testPauseIdle(t, be) })
+			t.Run("onereg-running", func(t *testing.T) { testOneRegWhileRunning(t, be) })
+			t.Run("create-order", func(t *testing.T) { testCreateOrder(t, be) })
+			t.Run("pin-wrap", func(t *testing.T) { testPinWrap(t, be) })
+			t.Run("late-attach", func(t *testing.T) { testLateAttach(t, be) })
+			t.Run("vmids", func(t *testing.T) { testVMIDsNeverReused(t, be) })
 		})
 	}
 }
@@ -362,5 +372,235 @@ func testPauseResume(t *testing.T, be *hv.Backend) {
 	}
 	if !env.Board.Run(20_000_000, func() bool { return v.ExitStats().Entries > entries }) {
 		t.Fatalf("vCPU did not re-enter the guest after Resume (state=%s)", v.State())
+	}
+}
+
+// The cases below pin the VM/vCPU lifecycle every backend shares (the
+// internal/hv base): run-state names, the pause/resume protocol on ready
+// and idle vCPUs, the ONE_REG not-while-running rule, in-order vCPU
+// creation, thread pin wrapping, late tracer/fault-plane attachment, and
+// VMID allocation.
+
+// idleState is the run-state name of a vCPU blocked in WFI (ARM) or HLT
+// (x86).
+func idleState(be *hv.Backend) string {
+	if be.IsARM {
+		return "wfi"
+	}
+	return "hlt"
+}
+
+// testPauseReady pauses a vCPU before its thread ever ran: it parks at
+// once, its thread stays out of the guest, and Resume lets it run to
+// completion.
+func testPauseReady(t *testing.T, be *hv.Backend) {
+	env, _, v := rawGuest(t, be, conformanceProgram())
+	if got := v.State(); got != "ready" {
+		t.Fatalf("fresh vCPU state = %q, want ready", got)
+	}
+	v.Pause()
+	if !v.Paused() || v.State() != "paused" {
+		t.Fatalf("Pause on a ready vCPU: paused=%v state=%q", v.Paused(), v.State())
+	}
+	if _, err := v.StartThread(0); err != nil {
+		t.Fatal(err)
+	}
+	env.Board.Run(200_000, nil)
+	if n := v.ExitStats().Entries; n != 0 {
+		t.Fatalf("paused vCPU entered the guest %d times", n)
+	}
+	v.Resume()
+	if v.Paused() || v.State() != "ready" {
+		t.Fatalf("after Resume: paused=%v state=%q, want ready", v.Paused(), v.State())
+	}
+	if !env.Board.Run(80_000_000, func() bool { return env.Host.LiveCount() == 0 }) {
+		t.Fatalf("resumed vCPU did not finish (state=%s)", v.State())
+	}
+	if v.State() != "shutdown" || v.ExitStats().Entries == 0 {
+		t.Errorf("after run: state=%q entries=%d, want shutdown and >0", v.State(), v.ExitStats().Entries)
+	}
+}
+
+// testPauseIdle pauses a vCPU blocked in WFI/HLT: the pause takes effect
+// without waking it, and Resume puts the thread back into the guest.
+func testPauseIdle(t *testing.T, be *hv.Backend) {
+	env, err := be.NewEnv(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, _, err := hv.BootGuest(env, 1, 96<<20, be.BootBudget, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vm.VCPUs()[0]
+	idle := idleState(be)
+	if !env.Board.Run(20_000_000, func() bool { return v.State() == idle }) {
+		t.Fatalf("booted guest never idled in %s (state=%s)", idle, v.State())
+	}
+	v.Pause()
+	if !v.Paused() || v.State() != "paused" {
+		t.Fatalf("Pause on an idle vCPU: paused=%v state=%q", v.Paused(), v.State())
+	}
+	entries := v.ExitStats().Entries
+	v.Resume()
+	if v.Paused() {
+		t.Fatal("vCPU still paused after Resume")
+	}
+	if !env.Board.Run(20_000_000, func() bool { return v.ExitStats().Entries > entries }) {
+		t.Fatalf("vCPU did not re-enter the guest after Resume (state=%s)", v.State())
+	}
+}
+
+// regProbe is an MMIO device that, from inside exit handling, tries the
+// ONE_REG interface on the vCPU that trapped.
+type regProbe struct {
+	state          string
+	getErr, setErr error
+}
+
+func (d *regProbe) Name() string { return "reg-probe" }
+func (d *regProbe) Read(v hv.VCPU, off uint64, size int) uint64 {
+	d.state = v.State()
+	_, d.getErr = v.GetOneReg(hv.RegPC)
+	d.setErr = v.SetOneReg(hv.RegGP(4), 1)
+	return 0
+}
+func (d *regProbe) Write(v hv.VCPU, off uint64, size int, val uint64) {}
+
+// testOneRegWhileRunning checks that register access is refused while the
+// vCPU is loaded on a CPU (mid-exit, before it returns to its thread).
+func testOneRegWhileRunning(t *testing.T, be *hv.Backend) {
+	env, vm, v := rawGuest(t, be, mmioProgram())
+	probe := &regProbe{}
+	vm.AddKernelMMIO(confKernDevBase, 0x1000, probe)
+	vm.AddUserMMIO(confUserDevBase, 0x1000, &confDev{name: "conf-user"})
+	runToShutdown(t, env, v)
+	if probe.state != "running" {
+		t.Errorf("state seen from exit handling = %q, want running", probe.state)
+	}
+	if probe.getErr == nil {
+		t.Error("GetOneReg on a running vCPU must fail")
+	}
+	if probe.setErr == nil {
+		t.Error("SetOneReg on a running vCPU must fail")
+	}
+	if _, err := v.GetOneReg(hv.RegPC); err != nil {
+		t.Errorf("GetOneReg after shutdown: %v", err)
+	}
+}
+
+// testCreateOrder checks vCPUs can only be created in index order.
+func testCreateOrder(t *testing.T, be *hv.Backend) {
+	env, err := be.NewEnv(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := env.HV.CreateVM(64 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.CreateVCPU(1); err == nil {
+		t.Error("CreateVCPU(1) before vCPU 0 must fail")
+	}
+	if _, err := vm.CreateVCPU(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.CreateVCPU(0); err == nil {
+		t.Error("creating vCPU 0 twice must fail")
+	}
+	if _, err := vm.CreateVCPU(2); err == nil {
+		t.Error("CreateVCPU(2) after vCPU 0 must fail")
+	}
+	if n := len(vm.VCPUs()); n != 1 {
+		t.Errorf("VCPUs() = %d after rejected creations, want 1", n)
+	}
+}
+
+// testPinWrap checks a thread pin beyond the board's CPU count wraps
+// modulo the count (overcommit placement).
+func testPinWrap(t *testing.T, be *hv.Backend) {
+	env, _, v := rawGuest(t, be, conformanceProgram())
+	n := len(env.Board.CPUs)
+	p, err := v.StartThread(n + 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (n + 2) % n; p.Affinity != want {
+		t.Errorf("pin %d on %d CPUs: affinity %d, want %d", n+2, n, p.Affinity, want)
+	}
+	if !env.Board.Run(80_000_000, func() bool { return env.Host.LiveCount() == 0 }) {
+		t.Fatalf("wrapped-pin vCPU did not finish (state=%s)", v.State())
+	}
+}
+
+// testLateAttach attaches a tracer and a fault plane after the VM and its
+// vCPU exist: both must reach the existing VM, vCPU and devices.
+func testLateAttach(t *testing.T, be *hv.Backend) {
+	env, vm, v := rawGuest(t, be, conformanceProgram())
+	tr := trace.New(0)
+	env.HV.AttachTracer(tr)
+	if env.HV.Tracer() != tr {
+		t.Error("Tracer() does not return the attached tracer")
+	}
+	plane := fault.New(1)
+	env.HV.AttachFaultPlane(plane)
+	if env.HV.FaultPlane() != plane {
+		t.Error("FaultPlane() does not return the attached plane")
+	}
+	if vm.GuestMemory().Table.Fault != plane {
+		t.Error("existing VM's second-stage table not wired to the fault plane")
+	}
+	for _, class := range []dev.VirtClass{dev.VirtNet, dev.VirtBlock, dev.VirtConsole} {
+		if d := vm.Device(class); d == nil || d.Fault != plane {
+			t.Errorf("existing %v device not wired to the fault plane", class)
+		}
+	}
+	runToShutdown(t, env, v)
+	snap := tr.Snapshot()
+	if _, ok := snap.VMs[vm.ID()]; !ok {
+		t.Errorf("VM %d not registered with the late tracer", vm.ID())
+	}
+	var vcpuExits uint64
+	for _, s := range snap.VCPUs {
+		if s.VM == vm.ID() && s.VCPU == 0 {
+			for _, c := range s.Counts {
+				vcpuExits += c
+			}
+		}
+	}
+	if vcpuExits == 0 {
+		t.Error("no per-vCPU events recorded for the existing vCPU")
+	}
+	env.HV.AttachFaultPlane(nil)
+	if vm.GuestMemory().Table.Fault != nil || vm.Device(dev.VirtNet).Fault != nil {
+		t.Error("detaching the fault plane left the VM wired")
+	}
+}
+
+// testVMIDsNeverReused checks VMID allocation: VMIDs 1..255 are each
+// handed out exactly once, and once they are exhausted every further
+// CreateVM fails rather than wrapping onto VMID 0 or onto a live VM's tag
+// (which would make TLB entries of two VMs collide).
+func testVMIDsNeverReused(t *testing.T, be *hv.Backend) {
+	env, err := be.NewEnv(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 255; want++ {
+		vm, err := env.HV.CreateVM(1 << 20)
+		if err != nil {
+			t.Fatalf("VM %d: %v", want, err)
+		}
+		if got := vm.ID(); int(got) != want {
+			t.Fatalf("VM %d got VMID %d", want, got)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if vm, err := env.HV.CreateVM(1 << 20); err == nil {
+			t.Fatalf("CreateVM after VMID exhaustion succeeded with VMID %d", vm.ID())
+		}
+	}
+	if n := len(env.HV.VMs()); n != 255 {
+		t.Errorf("VMs() = %d, want 255", n)
 	}
 }

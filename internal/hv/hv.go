@@ -6,12 +6,13 @@
 // VMs, VMs that own guest-physical memory, MMIO regions and virtual
 // devices, and vCPUs that run on host threads. This package names those
 // objects once, so the benchmark harness, the workloads, the facade and
-// the CLIs drive every backend through one code path, and a third backend
-// (a §6 "ideal hardware" model, a RISC-V-H-style model) only has to
-// implement three interfaces.
+// the CLIs drive every backend through one code path.
 //
-// Alongside the interfaces live the concrete helpers both backends
-// previously duplicated verbatim: the memory-slot bookkeeping and chunked
+// Behind the interfaces sits the one VM/vCPU lifecycle every backend
+// embeds (Hyp, VMBase, VCPUBase in lifecycle.go and vcpu.go), so a new
+// backend (a RISC-V-H-style model, say) supplies only its world switch,
+// exit decode and interrupt controller. Alongside live the concrete
+// helpers the backends share: the memory-slot bookkeeping and chunked
 // guest-memory copies (GuestMem), MMIO region lookup (Regions), the
 // QEMU-side device shims (VirtMMIO, UARTMMIO, StandardDevices), the
 // guest-physical access adapter (GuestPhysIO), the ONE_REG register

@@ -11,8 +11,8 @@ import (
 // VDistVCPU is the small view of a vCPU the virtual distributor needs:
 // enough to decide whether a pending virtual interrupt can be staged into
 // list registers right now (PhysCPU), must wake a sleeping thread
-// (BlockedWFI/Wake), or has to kick a remote core. Both the split-mode
-// core backend and the VHE backend satisfy it.
+// (BlockedWFI/Wake), or has to kick a remote core. KVM/ARM's vCPU
+// satisfies it through its embedded VCPUBase, under either world switch.
 type VDistVCPU interface {
 	VCPUID() int
 	// PhysCPU is the physical CPU currently executing this vCPU, -1 when

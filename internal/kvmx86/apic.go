@@ -184,17 +184,18 @@ func (a *APIC) deliverAll() {
 // assert its (software) interrupt line; if halted, wake its thread.
 func (a *APIC) deliverTo(v *VCPU) {
 	x := a.vm.kvm
-	if v.state == vcpuBlockedHLT && a.hasPendingFor(v) {
+	if v.BlockedWFI() && a.hasPendingFor(v) {
 		v.Wake(x.Board.Current)
 		return
 	}
-	if v.phys < 0 {
+	phys := v.PhysCPU()
+	if phys < 0 {
 		return
 	}
-	x.Board.CPUs[v.phys].VIRQLine = a.hasPendingFor(v)
-	if v.phys != x.Board.Current && a.hasPendingFor(v) {
+	x.Board.CPUs[phys].VIRQLine = a.hasPendingFor(v)
+	if phys != x.Board.Current && a.hasPendingFor(v) {
 		// Kick the remote core out of non-root mode (vcpu_kick).
-		_ = x.Board.GIC.SendSGI(x.Board.Current, 1<<uint(v.phys), 2)
+		_ = x.Board.GIC.SendSGI(x.Board.Current, 1<<uint(phys), 2)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestGuestBootsAndRuns(t *testing.T) {
 	}
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, err := NewGuestOS(vm, 96<<20)
+	g, err := vm.NewGuestOS(96 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGuestBootsAndRuns(t *testing.T) {
 	if !b.Run(30_000_000, func() bool { return g.Booted() }) {
 		t.Fatalf("x86 guest did not boot: %v", g.Err())
 	}
-	if g.K.BootedInHyp {
+	if g.Kernel().BootedInHyp {
 		t.Fatal("guest must not think it owns root mode")
 	}
 
@@ -88,7 +88,7 @@ func TestGuestTimerViaEmulation(t *testing.T) {
 	vmI, _ := hv.CreateVM(96 << 20)
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, _ := NewGuestOS(vm, 96<<20)
+	g, _ := vm.NewGuestOS(96 << 20)
 	v0.StartThread(0)
 	if !b.Run(30_000_000, func() bool { return g.Booted() }) {
 		t.Fatalf("no boot: %v", g.Err())
@@ -109,7 +109,7 @@ func TestGuestTimerViaEmulation(t *testing.T) {
 	if vm.Stats.SysRegTraps == 0 {
 		t.Fatal("x86 guest timer programming must exit to root mode")
 	}
-	if g.K.Stats.TimerIRQs == 0 {
+	if g.Kernel().Stats.TimerIRQs == 0 {
 		t.Fatal("guest must receive its timer interrupt")
 	}
 	if vm.Stats.EOIExits == 0 {
@@ -124,7 +124,7 @@ func TestEOICostStructure(t *testing.T) {
 	vmI, _ := hv.CreateVM(96 << 20)
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
-	g, _ := NewGuestOS(vm, 96<<20)
+	g, _ := vm.NewGuestOS(96 << 20)
 	v0.StartThread(0)
 	if !b.Run(30_000_000, func() bool { return g.Booted() }) {
 		t.Fatalf("no boot: %v", g.Err())
@@ -158,14 +158,14 @@ func TestIPIPathChargesHardwareIPI(t *testing.T) {
 	vm := vmI.(*VM)
 	v0, _ := vm.CreateVCPU(0)
 	v1, _ := vm.CreateVCPU(1)
-	g, _ := NewGuestOS(vm, 96<<20)
+	g, _ := vm.NewGuestOS(96 << 20)
 	v0.StartThread(0)
 	v1.StartThread(1)
 	if !b.Run(60_000_000, func() bool { return g.Booted() }) {
 		t.Fatalf("SMP x86 guest did not boot: %v", g.Err())
 	}
 	// Cross-vCPU pipe: wakeups send reschedule IPIs through the APIC.
-	pipe := g.K.NewPipe()
+	pipe := g.Kernel().NewPipe()
 	pipe.Cap = 8
 	got := 0
 	_, _ = g.Spawn("reader", 1, kernel.BodyFunc(func(kk *kernel.Kernel, p *kernel.Proc, c *arm.CPU) bool {

@@ -9,61 +9,10 @@ import (
 )
 
 // Migration hooks: the x86 backend's side of hv.Migrate. The memory path
-// (EPT dirty log) is shared with ARM Stage-2 — two-dimensional paging is
+// (EPT dirty log) is the shared hv.VMBase's — two-dimensional paging is
 // two-dimensional paging — but the device inventory differs: APIC instead
 // of a virtual distributor, and the "virtual timer" is KVM's software
 // LAPIC-timer emulation, saved in the same CTL/CVAL/VCNT shape.
-
-// flushS2Page evicts TLB entries caching a translation through gpa on
-// every host CPU, after a single-page EPT permission change.
-func (vm *VM) flushS2Page(gpa uint64) {
-	for _, c := range vm.kvm.Board.CPUs {
-		c.MMU.FlushS2Page(vm.VMID, gpa)
-	}
-}
-
-// flushTLBs drops every cached translation for this VM on every host CPU.
-func (vm *VM) flushTLBs() {
-	for _, c := range vm.kvm.Board.CPUs {
-		c.MMU.FlushVMID(vm.VMID)
-	}
-}
-
-// StartDirtyLog write-protects all mapped RAM pages and begins dirty
-// tracking.
-func (vm *VM) StartDirtyLog() (int, error) {
-	n, err := vm.Mem.StartDirtyLog()
-	if err != nil {
-		return 0, err
-	}
-	vm.flushTLBs()
-	return n, nil
-}
-
-// FetchDirtyLog drains and re-protects the dirty set, shooting down each
-// re-protected page's TLB entries.
-func (vm *VM) FetchDirtyLog() ([]uint64, error) {
-	pages, err := vm.Mem.FetchDirtyLog()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pages {
-		vm.flushS2Page(p)
-	}
-	return pages, nil
-}
-
-// StopDirtyLog restores write access everywhere and ends tracking.
-func (vm *VM) StopDirtyLog() error {
-	if err := vm.Mem.StopDirtyLog(); err != nil {
-		return err
-	}
-	vm.flushTLBs()
-	return nil
-}
-
-// MappedPages lists every mapped RAM-slot page (GPA page addresses).
-func (vm *VM) MappedPages() ([]uint64, error) { return vm.Mem.MappedPages() }
 
 // SaveDeviceState snapshots everything guest-visible that the register
 // snapshot does not cover. The VM must be paused.

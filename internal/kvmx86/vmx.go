@@ -3,10 +3,8 @@ package kvmx86
 import (
 	"kvmarm/internal/arm"
 	"kvmarm/internal/gic"
-	"kvmarm/internal/hv"
 	"kvmarm/internal/kernel"
 	"kvmarm/internal/machine"
-	"kvmarm/internal/mmu"
 	"kvmarm/internal/timer"
 	"kvmarm/internal/trace"
 )
@@ -17,9 +15,10 @@ import (
 // per-register software costs), and the handler already runs in the host
 // kernel: no second trap.
 
-// enterGuest is VMRESUME: swap in the guest context, pay the fixed entry
-// cost, inject any pending virtual interrupt.
-func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
+// EnterGuest is VMRESUME (hv.VCPUArch): swap in the guest context, pay
+// the fixed entry cost, inject any pending virtual interrupt.
+func (v *VCPU) EnterGuest(c *arm.CPU) {
+	x := v.vm.kvm
 	hc := &x.hostCtx[c.ID]
 	x.Stats.VMEntries++
 	v.Stats.Entries++
@@ -40,7 +39,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	// HLT exits, EPT on. x86 has no SMC/ACTLR analogues; set/way ops
 	// don't exist; we leave those trap bits clear.
 	c.CP15.Regs[arm.SysHCR] = arm.HCRVM | arm.HCRIMO | arm.HCRFMO | arm.HCRTWI | arm.HCRTWE
-	c.CP15.Write64(arm.SysVTTBRLo, v.vm.EPT.Root|uint64(v.vm.VMID)<<48)
+	c.CP15.Write64(arm.SysVTTBRLo, v.vm.S2.Root|uint64(v.vm.VMID)<<48)
 
 	// Guest timer state (KVM x86 emulates the APIC timer with hrtimers;
 	// we back it with the hardware timer so TSC-style reads stay exit-free).
@@ -50,10 +49,7 @@ func (x *Hypervisor) enterGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = v.Ctx.PL1Software
 	c.Runner = v.Ctx.Runner
 	x.loaded[c.ID] = v
-	v.phys = c.ID
-	v.insnMark = c.Insns
-	v.state = vcpuRunning
-	v.vm.lastGuestCPU = c
+	v.Load(c)
 	c.SetCPSR(v.Ctx.GP.CPSR)
 
 	// Event injection: pending virtual interrupts are delivered on entry.
@@ -98,8 +94,7 @@ func (x *Hypervisor) exitGuest(c *arm.CPU, v *VCPU) {
 	c.PL1Handler = hc.PL1Software
 	c.Runner = hc.Runner
 	x.loaded[c.ID] = nil
-	v.phys = -1
-	v.Stats.GuestInsns += c.Insns - v.insnMark
+	v.Unload(c)
 	c.VIRQLine = false
 	c.SetCPSR(hc.CPSR)
 
@@ -123,14 +118,6 @@ func (x *Hypervisor) vmExit(c *arm.CPU, e *arm.Exception) {
 	x.handleExit(c, v, e)
 }
 
-func (x *Hypervisor) reenter(c *arm.CPU, v *VCPU) {
-	if v.pauseReq {
-		v.state = vcpuPaused
-		return
-	}
-	x.enterGuest(c, v)
-}
-
 func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	vm := v.vm
 	// Classify the exit for the tracer on the way out: exactly one event
@@ -151,49 +138,23 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception) {
 	case arm.ExcIRQ, arm.ExcFIQ:
 		exitKind = trace.ExitIRQ
 		vm.Stats.IRQExits++
-		v.state = vcpuNeedEnter
-		if v.pauseReq {
-			v.state = vcpuPaused
-		}
+		v.Unwind(false)
 		x.timerOnExit(c, v)
 		return
 	case arm.ExcHVC:
 		exitKind = trace.ExitHypercall
-		vm.Stats.Hypercalls++
-		if e.Imm == kernelPSCISystemOff {
-			for _, o := range vm.vcpus {
-				if o != v {
-					o.Wake(c.ID) // unblock before marking shutdown
-				}
-				o.state = vcpuShutdown
-			}
-			return
-		}
-		x.reenter(c, v)
+		v.Hypercall(c, e.Imm)
 		return
 	case arm.ExcHypTrap:
 		switch arm.HSREC(e.HSR) {
 		case arm.ECHVC:
 			exitKind = trace.ExitHypercall
-			vm.Stats.Hypercalls++
-			if e.Imm == kernelPSCISystemOff {
-				for _, o := range vm.vcpus {
-					o.state = vcpuShutdown
-					if o != v {
-						o.Wake(c.ID)
-					}
-				}
-				return
-			}
-			x.reenter(c, v)
+			v.Hypercall(c, e.Imm)
 		case arm.ECWFx: // HLT
 			exitKind = trace.ExitWFI
 			vm.Stats.WFIExits++
 			v.Ctx.GP.PC += 4
-			v.state = vcpuBlockedHLT
-			if v.pauseReq {
-				v.state = vcpuPaused
-			}
+			v.Unwind(true)
 			x.timerOnExit(c, v)
 		case arm.ECDataAbort, arm.ECInstrAbort:
 			exitKind, exitArg = x.handleEPTViolation(c, v, e)
@@ -202,17 +163,14 @@ func (x *Hypervisor) handleExit(c *arm.CPU, v *VCPU, e *arm.Exception) {
 			vm.Stats.SysRegTraps++
 			x.emulateSysReg(c, v, e)
 			v.Ctx.GP.PC += 4
-			x.reenter(c, v)
+			v.Reenter(c)
 		default:
-			v.state = vcpuNeedEnter
+			v.Unwind(false)
 		}
 	default:
-		v.state = vcpuNeedEnter
+		v.Unwind(false)
 	}
 }
-
-// kernelPSCISystemOff mirrors kernel.PSCISystemOff without the import.
-const kernelPSCISystemOff = 0x808
 
 // handleEPTViolation resolves guest-physical faults: RAM slots are backed
 // with host pages; everything else is MMIO, which on x86 always needs
@@ -222,47 +180,7 @@ const kernelPSCISystemOff = 0x808
 func (x *Hypervisor) handleEPTViolation(c *arm.CPU, v *VCPU, e *arm.Exception) (trace.Kind, uint64) {
 	vm := v.vm
 	gpa := e.FaultIPA
-	if vm.Mem.InSlot(gpa) {
-		vm.Stats.Stage2Faults++
-		// Copy-on-write write fault (snapshot/fork): break the sharing and
-		// retry. Checked before the dirty log — a shared page is read-only
-		// and never in the log's protected set; the paths below would remap
-		// it to a blank frame.
-		if vm.EPT.CowSharing() {
-			if handled, err := vm.EPT.CowFault(gpa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, gpa
-			} else if handled {
-				vm.flushS2Page(gpa)
-				c.Charge(x.Host.Cost.FaultWork/2 + x.Host.Cost.PageZero)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, gpa
-			}
-		}
-		// Dirty-log write fault: restore write access and retry (must
-		// precede the allocation path, which would clobber the page).
-		if vm.EPT.DirtyLogging() {
-			if dirty, err := vm.EPT.DirtyFault(gpa); err != nil {
-				v.state = vcpuShutdown
-				return trace.ExitStage2Fault, gpa
-			} else if dirty {
-				vm.flushS2Page(gpa)
-				c.Charge(x.Host.Cost.FaultWork / 2)
-				x.reenter(c, v)
-				return trace.ExitStage2Fault, gpa
-			}
-		}
-		pa, err := x.Host.Alloc.AllocPages(1)
-		if err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, gpa
-		}
-		if err := vm.EPT.MapPage(uint32(gpa)&^(mmu.PageSize-1), pa, mmu.MapFlags{W: true}); err != nil {
-			v.state = vcpuShutdown
-			return trace.ExitStage2Fault, gpa
-		}
-		c.Charge(x.Host.Cost.FaultWork + x.Host.Cost.PageZero)
-		x.reenter(c, v)
+	if v.RAMFault(c, gpa) {
 		return trace.ExitStage2Fault, gpa
 	}
 
@@ -273,8 +191,7 @@ func (x *Hypervisor) handleEPTViolation(c *arm.CPU, v *VCPU, e *arm.Exception) (
 	vm.Stats.MMIODecoded++
 	c.Charge(x.P.APICDecode)
 	userBefore := vm.Stats.MMIOUserExits
-	x.emulateMMIO(c, v, gpa, write, size, rt)
-	if v.state == vcpuShutdown {
+	if !x.emulateMMIO(c, v, gpa, write, size, rt) {
 		// The access raised a bus error (injected device fault): the vCPU
 		// is dead, do not advance PC or re-enter the guest.
 		return trace.ExitOther, gpa
@@ -284,11 +201,13 @@ func (x *Hypervisor) handleEPTViolation(c *arm.CPU, v *VCPU, e *arm.Exception) (
 		kind = trace.ExitMMIOUser
 	}
 	v.Ctx.GP.PC += 4
-	x.reenter(c, v)
+	v.Reenter(c)
 	return kind, gpa
 }
 
-func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, size, rt int) {
+// emulateMMIO routes an MMIO access to the APIC or a registered region. It
+// reports false when the access raised a bus error and the vCPU died.
+func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, size, rt int) bool {
 	vm := v.vm
 	vm.Stats.MMIOExits++
 
@@ -302,41 +221,20 @@ func (x *Hypervisor) emulateMMIO(c *arm.CPU, v *VCPU, gpa uint64, write bool, si
 			setRegOf(v, rt, vm.APIC.ReadReg(v, off))
 		}
 		c.Charge(x.P.APICEmulate)
-		return
+		return true
 	}
 
-	if r, off := vm.mmio.Find(gpa); r != nil {
-		if r.User {
-			vm.Stats.MMIOUserExits++
-			c.Charge(x.P.KernelToUser + x.P.QEMUWork)
-		} else {
-			c.Charge(x.P.IOKernelWork)
+	if val, found, ok := v.RegionMMIO(c, gpa, write, size, regOf(v, rt),
+		x.P.KernelToUser+x.P.QEMUWork, x.P.IOKernelWork); found {
+		if ok && !write {
+			setRegOf(v, rt, val)
 		}
-		var err error
-		if write {
-			err = hv.MMIOWrite(r.H, v, off, size, uint64(regOf(v, rt)))
-		} else {
-			var val uint64
-			if val, err = hv.MMIORead(r.H, v, off, size); err == nil {
-				setRegOf(v, rt, uint32(val))
-			}
-		}
-		if err != nil {
-			// Injected device error: deliver a bus error. The guests here
-			// have no abort recovery, so the vCPU dies on the spot — the
-			// fleet supervisor's re-fork is the recovery story.
-			vm.Stats.BusErrors++
-			if t := x.Trace; t != nil {
-				t.Emit(trace.Event{Kind: trace.EvGuestBusError, VM: vm.VMID,
-					VCPU: int16(v.ID), CPU: int16(c.ID), PC: v.Ctx.GP.PC, Arg: gpa})
-			}
-			v.state = vcpuShutdown
-		}
-		return
+		return ok
 	}
 	if !write {
 		setRegOf(v, rt, 0)
 	}
+	return true
 }
 
 // emulateSysReg handles trapped register accesses — for x86 this is the

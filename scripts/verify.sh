@@ -3,8 +3,8 @@
 # Builds everything, vets everything, runs the full test suite, and then
 # re-runs the concurrency-sensitive packages under the race detector.
 # The neutrality lint (internal/hv) runs as part of `go test ./...` and
-# fails the build if internal/bench or internal/workloads reach past the
-# backend-neutral hv layer into a concrete hypervisor.
+# fails the build if any package but the root kvmarm package reaches past
+# the backend-neutral hv layer into a concrete hypervisor.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
-go test -race ./internal/isa/ ./internal/trace/ ./internal/mmu/ ./internal/core/ ./internal/vhe/ ./internal/hv/ ./internal/fault/ ./internal/fleet/ ./internal/kernel/ ./internal/dev/ ./internal/net/
+go test -race ./internal/isa/ ./internal/trace/ ./internal/mmu/ ./internal/core/ ./internal/vhe/ ./internal/kvmx86/ ./internal/hv/ ./internal/fault/ ./internal/fleet/ ./internal/kernel/ ./internal/dev/ ./internal/net/
 
 # Migration conformance under the race detector: all 25 source→destination
 # backend pairs, mid-workload, compared against an unmigrated run.
